@@ -105,7 +105,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # Per-stage pipeline timings plus the metrics.Vector.Get, durable-store,
-# and cluster (WAL-shipping, 3-node batch fan-out) micro-benchmarks,
+# per-scenario replay (perfscore.EvaluateAssignments) and cluster
+# (WAL-shipping, 3-node batch fan-out) micro-benchmarks,
 # recorded under results/ so successive runs can
 # be diffed (benchstat or plain diff) to catch stage-level regressions.
 # The same run is also rendered to machine-readable JSON (stage name ->
@@ -124,6 +125,8 @@ bench-stages:
 	$(GO) test -run '^$$' -bench 'BenchmarkProfiler(Collect|Tick)$$' -benchtime 10x ./internal/profiler \
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPCAUpdate$$' ./internal/pca \
+		| tee -a results/bench-stages.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateAssignments$$' ./internal/perfscore \
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkWALShip$$' ./internal/cluster \
 		| tee -a results/bench-stages.txt

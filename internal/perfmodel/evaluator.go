@@ -68,7 +68,7 @@ func (e *Evaluator) ResultInto(res *Result, opts Options) error {
 		return errors.New("perfmodel: ResultInto called before Relax")
 	}
 	if opts.NoiseStd > 0 && opts.Rand == nil {
-		return errors.New("perfmodel: NoiseStd > 0 requires Options.Rand")
+		return ErrNoiseWithoutRand
 	}
 	e.st.resultInto(res, opts)
 	return nil

@@ -173,6 +173,9 @@ type Result struct {
 	Machine MachinePerf
 }
 
+// ErrNoiseWithoutRand rejects Options with NoiseStd > 0 and no Rand.
+var ErrNoiseWithoutRand = errors.New("perfmodel: NoiseStd > 0 requires Options.Rand")
+
 // Evaluate models the steady-state performance of the given colocation on
 // the given machine configuration. Jobs must be non-empty with positive
 // instance counts and valid profiles.
@@ -184,7 +187,7 @@ func Evaluate(cfg machine.Config, jobs []Assignment, opts Options) (Result, erro
 		return Result{}, err
 	}
 	if opts.NoiseStd > 0 && opts.Rand == nil {
-		return Result{}, errors.New("perfmodel: NoiseStd > 0 requires Options.Rand")
+		return Result{}, ErrNoiseWithoutRand
 	}
 	if err := validateActivity(jobs, opts.ActivityFactors); err != nil {
 		return Result{}, err

@@ -60,9 +60,15 @@ func (inh *Inherent) HPScore(res perfmodel.Result) (float64, error) {
 }
 
 // HPScoreWith aggregates the HP instances' normalised performance under
-// the chosen metric. A result without HP instances scores 0.
+// the chosen metric. A result without HP instances scores 0. Each instance
+// is folded in separately, in result order: the floating-point result
+// depends on that order, not only on the per-job scores and counts.
 func (inh *Inherent) HPScoreWith(res perfmodel.Result, metric Metric) (float64, error) {
-	var normalised []float64
+	var (
+		n       int
+		acc     float64 // sum, sum of inverses, or minimum, per metric
+		stalled bool    // a non-positive instance zeroes the harmonic mean
+	)
 	for _, j := range res.Jobs {
 		if j.Class != workload.ClassHP {
 			continue
@@ -73,37 +79,33 @@ func (inh *Inherent) HPScoreWith(res perfmodel.Result, metric Metric) (float64, 
 		}
 		perf := j.MIPS / base
 		for k := 0; k < j.Instances; k++ {
-			normalised = append(normalised, perf)
+			switch metric {
+			case MetricHarmonicMean:
+				if perf <= 0 {
+					stalled = true
+				} else {
+					acc += 1 / perf
+				}
+			case MetricWorstCase:
+				if n == 0 || perf < acc {
+					acc = perf
+				}
+			default: // MetricSumNormalized (including the zero value)
+				acc += perf
+			}
+			n++
 		}
 	}
-	if len(normalised) == 0 {
+	if n == 0 {
 		return 0, nil
 	}
-	switch metric {
-	case MetricHarmonicMean:
-		var invSum float64
-		for _, p := range normalised {
-			if p <= 0 {
-				return 0, nil
-			}
-			invSum += 1 / p
+	if metric == MetricHarmonicMean {
+		if stalled {
+			return 0, nil
 		}
-		return float64(len(normalised)) / invSum, nil
-	case MetricWorstCase:
-		worst := normalised[0]
-		for _, p := range normalised[1:] {
-			if p < worst {
-				worst = p
-			}
-		}
-		return worst, nil
-	default: // MetricSumNormalized (including the zero value)
-		var sum float64
-		for _, p := range normalised {
-			sum += p
-		}
-		return sum, nil
+		return float64(n) / acc, nil
 	}
+	return acc, nil
 }
 
 // JobScore returns the per-instance normalised performance of one job in
@@ -199,27 +201,41 @@ func EvaluateScenario(base machine.Config, feat machine.Feature, sc scenario.Sce
 
 // EvaluateAssignments is EvaluateScenario for an explicit assignment list
 // (e.g. a hybrid of real jobs and synthetic interference generators).
+//
+// The model's relaxation is deterministic and never reads the RNG, so each
+// configuration is relaxed once; every sample then materialises a noisy
+// baseline result and a noisy feature result from the relaxed states, in
+// that draw order.
 func EvaluateAssignments(base machine.Config, feat machine.Feature,
 	assignments []perfmodel.Assignment, inh *Inherent, opts Options) (Impact, error) {
-	featCfg := feat.Apply(base)
+	evBase, err := relaxedEvaluator(base, assignments)
+	if err != nil {
+		return Impact{}, fmt.Errorf("perfscore: baseline: %w", err)
+	}
+	if opts.NoiseStd > 0 && opts.Rand == nil {
+		return Impact{}, fmt.Errorf("perfscore: baseline: %w", perfmodel.ErrNoiseWithoutRand)
+	}
+	evFeat, err := relaxedEvaluator(feat.Apply(base), assignments)
+	if err != nil {
+		return Impact{}, fmt.Errorf("perfscore: feature: %w", err)
+	}
+	jobs, err := inh.hpJobs(assignments)
+	if err != nil {
+		return Impact{}, err
+	}
 
 	samples := opts.Samples
 	if opts.NoiseStd <= 0 || samples < 1 {
 		samples = 1
 	}
-
+	mo := perfmodel.Options{NoiseStd: opts.NoiseStd, Rand: opts.Rand}
 	imp := Impact{JobReductionPct: make(map[string]float64)}
-	jobBase := make(map[string]float64)
-	jobFeat := make(map[string]float64)
-
+	var resBase, resFeat perfmodel.Result
 	for s := 0; s < samples; s++ {
-		mo := perfmodel.Options{NoiseStd: opts.NoiseStd, Rand: opts.Rand}
-		resBase, err := perfmodel.Evaluate(base, assignments, mo)
-		if err != nil {
+		if err := evBase.ResultInto(&resBase, mo); err != nil {
 			return Impact{}, fmt.Errorf("perfscore: baseline: %w", err)
 		}
-		resFeat, err := perfmodel.Evaluate(featCfg, assignments, mo)
-		if err != nil {
+		if err := evFeat.ResultInto(&resFeat, mo); err != nil {
 			return Impact{}, fmt.Errorf("perfscore: feature: %w", err)
 		}
 		b, err := inh.HPScoreWith(resBase, opts.Metric)
@@ -233,20 +249,14 @@ func EvaluateAssignments(base machine.Config, feat machine.Feature,
 		imp.Baseline += b
 		imp.Feature += f
 
-		for _, j := range resBase.Jobs {
-			if j.Class != workload.ClassHP {
+		for i := range jobs {
+			j := &jobs[i]
+			if j.first < 0 {
 				continue
 			}
-			sb, err := inh.JobScore(resBase, j.Job)
-			if err != nil {
-				return Impact{}, err
-			}
-			sf, err := inh.JobScore(resFeat, j.Job)
-			if err != nil {
-				return Impact{}, err
-			}
-			jobBase[j.Job] += sb
-			jobFeat[j.Job] += sf
+			sum := &jobs[j.first]
+			sum.base += resBase.Jobs[j.first].MIPS / j.inherent
+			sum.feat += resFeat.Jobs[j.first].MIPS / j.inherent
 		}
 	}
 
@@ -255,12 +265,65 @@ func EvaluateAssignments(base machine.Config, feat machine.Feature,
 	if imp.Baseline > 0 {
 		imp.ReductionPct = 100 * (imp.Baseline - imp.Feature) / imp.Baseline
 	}
-	for job, b := range jobBase {
-		if b > 0 {
-			imp.JobReductionPct[job] = 100 * (b - jobFeat[job]) / b
+	for i, j := range jobs {
+		if j.first < 0 {
+			continue
+		}
+		if sum := jobs[j.first]; sum.base > 0 {
+			imp.JobReductionPct[assignments[i].Profile.Name] = 100 * (sum.base - sum.feat) / sum.base
 		}
 	}
 	return imp, nil
+}
+
+// relaxedEvaluator loads a colocation on cfg and runs the relaxation once.
+func relaxedEvaluator(cfg machine.Config, assignments []perfmodel.Assignment) (*perfmodel.Evaluator, error) {
+	ev, err := perfmodel.NewEvaluator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := ev.Begin(assignments); err != nil {
+		return nil, err
+	}
+	if err := ev.Relax(nil); err != nil {
+		return nil, err
+	}
+	return ev, nil
+}
+
+// hpJob is one assignment's per-job score accumulator in
+// EvaluateAssignments.
+type hpJob struct {
+	// first is the first assignment of the same job, or -1 for an LP
+	// job. A job listed twice is scored as its first entry, the way
+	// JobScore reads a result, and sums into that entry's slot.
+	first      int
+	inherent   float64 // the job's inherent MIPS
+	base, feat float64 // per-sample scores summed into the first slot
+}
+
+// hpJobs resolves the per-job score slots of an assignment list.
+func (inh *Inherent) hpJobs(assignments []perfmodel.Assignment) ([]hpJob, error) {
+	jobs := make([]hpJob, len(assignments))
+	for i, a := range assignments {
+		jobs[i].first = -1
+		if a.Profile.Class != workload.ClassHP {
+			continue
+		}
+		m, err := inh.MIPS(a.Profile.Name)
+		if err != nil {
+			return nil, err
+		}
+		jobs[i].inherent = m
+		jobs[i].first = i
+		for k := range assignments[:i] {
+			if assignments[k].Profile.Name == a.Profile.Name {
+				jobs[i].first = k
+				break
+			}
+		}
+	}
+	return jobs, nil
 }
 
 func assignments(sc scenario.Scenario, cat *workload.Catalog) ([]perfmodel.Assignment, error) {

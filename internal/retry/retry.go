@@ -5,9 +5,10 @@
 // estimate path retry transient failures through it; the server's
 // degraded mode is driven by the breaker.
 //
-// Jitter is drawn from a rand.Rand seeded per Do call, so a retried
-// operation backs off through the same delay sequence on every run —
-// fault-injected executions stay reproducible end to end.
+// Jitter is drawn from a rand.Rand seeded from Policy.Seed at a Do call's
+// first retry, so a retried operation backs off through the same delay
+// sequence on every run — fault-injected executions stay reproducible end
+// to end — and a call whose first attempt succeeds seeds no source.
 package retry
 
 import (
@@ -100,10 +101,7 @@ func IsPermanent(err error) bool {
 // retries were exhausted.
 func (p Policy) Do(ctx context.Context, op func() error) error {
 	p = p.withDefaults()
-	var jitter *rand.Rand
-	if p.JitterFrac > 0 {
-		jitter = rand.New(rand.NewSource(p.Seed))
-	}
+	var jitter *rand.Rand // seeded at the first retry
 	attempts := p.Registry.Counter("flare_retry_attempts_total",
 		"operation attempts through the retry layer", "op", p.Name)
 	retries := p.Registry.Counter("flare_retry_retries_total",
@@ -138,7 +136,10 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 		retries.Inc()
 
 		d := delay
-		if jitter != nil {
+		if p.JitterFrac > 0 {
+			if jitter == nil {
+				jitter = rand.New(rand.NewSource(p.Seed))
+			}
 			frac := 1 + p.JitterFrac*(2*jitter.Float64()-1)
 			d = time.Duration(float64(d) * frac)
 		}

@@ -121,6 +121,38 @@ func TestJitterDeterministic(t *testing.T) {
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Errorf("jittered delays differ across identical runs: %v vs %v", a, b)
 	}
+	// The literal sequence pins the jitter stream across versions, not
+	// only across two runs of one build.
+	want := []time.Duration{11675568, 17852057, 35862201}
+	if fmt.Sprint(a) != fmt.Sprint(want) {
+		t.Errorf("Seed 7 delays = %v, want %v", a, want)
+	}
+}
+
+// TestDoFirstTrySeedsNoSource guards the no-retry path: a Do whose first
+// attempt succeeds allocates no more than its three counter lookups, so
+// it builds no jitter source.
+func TestDoFirstTrySeedsNoSource(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := Policy{Registry: reg, Name: "first-try", Seed: 7}
+	ctx := context.Background()
+	ok := func() error { return nil }
+	if err := p.Do(ctx, ok); err != nil { // registers the counters
+		t.Fatal(err)
+	}
+	lookups := testing.AllocsPerRun(100, func() {
+		reg.Counter("flare_retry_attempts_total", "", "op", p.Name)
+		reg.Counter("flare_retry_retries_total", "", "op", p.Name)
+		reg.Counter("flare_retry_giveups_total", "", "op", p.Name)
+	})
+	do := testing.AllocsPerRun(100, func() {
+		if err := p.Do(ctx, ok); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if do > lookups {
+		t.Errorf("first-try Do allocates %v, counter lookups alone %v", do, lookups)
+	}
 }
 
 func TestRetryMetrics(t *testing.T) {
